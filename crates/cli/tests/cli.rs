@@ -1,7 +1,8 @@
 //! End-to-end CLI coverage driving the compiled `seqio` binary: the
 //! `report --slo` zero-completed-sessions report stays a clean report
-//! (not NaN percentiles or a hard error), and `scenario record` →
-//! `scenario replay` reproduces `scenario run` exactly.
+//! (not NaN percentiles or a hard error), `scenario record` →
+//! `scenario replay` reproduces `scenario run` exactly, and replaying a
+//! trace the node cannot serve fails with a clean error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -91,4 +92,43 @@ fn scenario_errors_name_the_valid_choices() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("run|record|replay"), "{err}");
+}
+
+/// Replays a one-op trace whose inject clause ends in `inject_tail` and
+/// returns the failed run's stderr, checking it exited with the CLI's
+/// error status rather than a panic.
+fn replay_rejects(name: &str, inject_tail: &str) -> String {
+    let dir = scratch_dir(name);
+    let trace = dir.join("bad.trace");
+    std::fs::write(
+        &trace,
+        format!(
+            "# seqio scenario trace v1\nmeta:name=bad,nodes=1\n\
+             inject:at=0,node=0,stream=7,{inject_tail},requests=4,pattern=seq\n"
+        ),
+    )
+    .unwrap();
+    let out = seqio(&["scenario", "replay", "--trace", trace.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "expected a clean error exit:\n{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.contains("op 0 (stream 7 on node 0)"), "the error must name the op:\n{err}");
+    err
+}
+
+/// An inject naming a disk the replay node does not have is rejected up
+/// front instead of panicking inside the node.
+#[test]
+fn scenario_replay_rejects_a_disk_outside_the_node() {
+    let err = replay_rejects("bad-disk", "disk=99,start=0,blocks=128");
+    assert!(err.contains("names disk 99 but the node has"), "{err}");
+}
+
+/// An inject whose first request ends past the end of the disk is
+/// rejected up front instead of panicking inside the storage server.
+#[test]
+fn scenario_replay_rejects_a_start_past_the_disk_end() {
+    let err = replay_rejects("bad-start", "disk=0,start=1000000000000,blocks=128");
+    assert!(err.contains("past the disk's"), "{err}");
 }

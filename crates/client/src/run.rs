@@ -460,12 +460,12 @@ fn overlay_link(
     result.slo = SessionSlo::from_latencies(admitted, latencies);
 
     if !link.is_unconstrained() {
-        let ids = result.node_stream_ids.clone();
+        let ids = &result.node_stream_ids;
         for outcome in &mut result.nodes {
             let node = outcome.node;
             let Some(r) = outcome.result.as_mut() else { continue };
-            let done_at = r.stream_done_at.clone();
             let Some(spans) = r.spans.as_mut() else { continue };
+            let done_at = &r.stream_done_at;
             for span in spans.iter_mut() {
                 // The session's final request is the span whose delivery
                 // instant equals the stream's completion instant.

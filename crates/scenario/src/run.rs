@@ -18,9 +18,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use seqio_disk::Geometry;
 use seqio_node::sweep::{derive_seed, resolve_jobs};
-use seqio_node::{Experiment, Frontend, NodeSim, RunResult, StreamHandoff};
+use seqio_node::{Experiment, Frontend, NodeShape, NodeSim, RunResult, StreamHandoff};
 use seqio_simcore::{EpochController, SeqioError, SimTime};
+use seqio_workload::Pattern;
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveTuner, RetuneAction};
 use crate::trace::{ScenarioTrace, TraceOpKind};
@@ -109,6 +111,34 @@ impl ScenarioOutcome {
     }
 }
 
+/// Rejects inject ops a node of `shape` cannot serve: a disk the node does
+/// not have, or a first request that ends past the disk's last block.
+fn check_ops_fit(trace: &ScenarioTrace, shape: &NodeShape) -> Result<(), SeqioError> {
+    let disks = shape.total_disks();
+    let disk_blocks = Geometry::new(&shape.disk.geometry, shape.disk.track_switch).total_blocks();
+    for (i, op) in trace.ops.iter().enumerate() {
+        let Some(spec) = op.spec() else { continue };
+        let fail = |reason: String| SeqioError::Component {
+            component: "scenario",
+            reason: format!("op {i} (stream {} on node {}) {reason}", op.stream, op.node),
+        };
+        if spec.disk >= disks {
+            return Err(fail(format!("names disk {} but the node has {disks} disk(s)", spec.disk)));
+        }
+        let reach = match spec.pattern {
+            Pattern::Random { span_blocks } => span_blocks,
+            Pattern::Sequential | Pattern::NearSequential { .. } => spec.request_blocks,
+        };
+        let end = spec.start.saturating_add(reach);
+        if end > disk_blocks {
+            return Err(fail(format!(
+                "has a first request ending at block {end}, past the disk's {disk_blocks} blocks"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The template's static stream population (before any trace injections).
 fn static_streams(t: &Experiment) -> usize {
     match &t.stream_counts {
@@ -127,11 +157,14 @@ impl ScenarioRun {
     ///
     /// # Errors
     ///
-    /// Returns the first specification error (invalid trace, invalid
-    /// template, adaptive tuning on a non-scheduler frontend); a valid
-    /// specification always runs to completion.
+    /// Returns the first specification error (invalid trace, an inject
+    /// naming a disk outside the template's node shape or whose first
+    /// request ends past the disk's end, invalid template, adaptive
+    /// tuning on a non-scheduler frontend); a valid specification always
+    /// runs to completion.
     pub fn run(&self) -> Result<ScenarioOutcome, SeqioError> {
         self.trace.validate()?;
+        check_ops_fit(&self.trace, &self.template.shape)?;
         let mut template = self.template.clone();
         if static_streams(&template) == 0 {
             template.open_sessions = true;

@@ -4,19 +4,43 @@
 //! aggregate disk throughput a client *observes* is therefore capped by
 //! how the link divides its capacity among concurrent responses. A
 //! [`FairShareLink`] models that division: every active transfer gets a
-//! max-min fair share of the capacity (computed by the pure allocator
-//! [`max_min_rates`]), and rates are recomputed from scratch every time a
-//! transfer starts or finishes — the *progressive filling* interpretation
-//! of fairness.
+//! max-min fair share of the capacity (the water-filling rule of the pure
+//! allocator [`max_min_rates`]), re-divided every time a transfer starts
+//! or finishes — the *progressive filling* interpretation of fairness.
+//!
+//! # Virtual-time fair queue
+//!
+//! Max-min fairness gives every transfer with the same demand the same
+//! rate, so the link tracks *demand classes*, one per distinct demand, in
+//! ascending demand order, rather than individual transfers. Each class
+//! keeps its member count, its current per-member rate and a virtual
+//! clock `V`: the bytes served to each member since the class formed
+//! (kept with compensated summation and reset when the class empties). A
+//! transfer of `b` bytes joining at virtual time `V` is done when the
+//! clock reaches its virtual finish `V + b`; the class keeps those finish
+//! tags in a min-heap. This is the virtual clock of GPS / weighted fair
+//! queueing (Parekh & Gallager 1993; Demers, Keshav & Shenker 1989).
+//!
+//! On every start and every completion the link advances each class's
+//! clock by `rate · dt`, water-fills the capacity over the classes
+//! weighted by member count, and plans each class head's completion at
+//! `now + ceil((V_finish − V) / rate)` whole nanoseconds. An event costs
+//! O(k + log n) for k distinct demands and n transfers in flight; the
+//! client tier, where every session has the same demand, has one class.
 //!
 //! The link is a [`SimComponent`](crate::SimComponent) on the shared
 //! simulation clock, so a co-simulation driver can advance it in lockstep
-//! with storage nodes. Determinism: a transfer's rate depends only on its
-//! own demand and the multiset of active demands (never on insertion
-//! order), completions at equal instants are delivered sorted by caller
-//! tag, and all bookkeeping is settled at integer-nanosecond boundaries —
-//! so permuting the insertion order of simultaneous transfers cannot
-//! change any delivery time.
+//! with storage nodes. Determinism guarantees:
+//!
+//! * **tag order** — completions at one instant are delivered sorted by
+//!   caller tag;
+//! * **insertion-order invariance** — a class's rate depends only on the
+//!   multiset of active demands, and simultaneous starts read the same
+//!   virtual clock, so permuting the insertion order of simultaneous
+//!   transfers cannot change any delivery;
+//! * **chunk invariance** — floating-point state changes only at starts
+//!   and completions, never in [`advance_to`](crate::SimComponent::advance_to)
+//!   between them, so advancing in chunks is bit-identical to one shot.
 //!
 //! # Examples
 //!
@@ -36,6 +60,9 @@
 //! assert_eq!(done[0].at, SimTime::from_nanos(2_000_000_000));
 //! ```
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use crate::component::SimComponent;
 use crate::error::SeqioError;
 use crate::time::SimTime;
@@ -43,7 +70,8 @@ use crate::time::SimTime;
 /// Max-min fair allocation of `capacity_bps` among `demands` (bytes/s).
 ///
 /// Water-filling: demands are satisfied in ascending order, each transfer
-/// receiving `min(demand, remaining_capacity / transfers_left)`. The
+/// receiving `min(demand, remaining_capacity / transfers_left)`; equal
+/// demands are granted together and receive bit-identical rates. The
 /// result is returned in input order but depends only on each entry's own
 /// value and the multiset of demands, so it is invariant under input
 /// permutation. Properties (verified by `tests/link_properties.rs`):
@@ -62,22 +90,42 @@ use crate::time::SimTime;
 pub fn max_min_rates(capacity_bps: f64, demands: &[f64]) -> Vec<f64> {
     assert!(!capacity_bps.is_nan() && capacity_bps > 0.0, "link capacity must be positive");
     assert!(demands.iter().all(|d| !d.is_nan() && *d > 0.0), "transfer demands must be positive");
-    if capacity_bps.is_infinite() {
-        return demands.to_vec();
-    }
     let mut order: Vec<usize> = (0..demands.len()).collect();
-    order.sort_by(|&a, &b| demands[a].total_cmp(&demands[b]).then(a.cmp(&b)));
+    order.sort_by(|&a, &b| demands[a].total_cmp(&demands[b]));
+    let mut fill = WaterFill::new(capacity_bps, demands.len());
     let mut rates = vec![0.0; demands.len()];
-    let mut capacity = capacity_bps;
-    let mut left = demands.len();
-    for &i in &order {
-        let fair = capacity / left as f64;
-        let granted = demands[i].min(fair);
-        rates[i] = granted;
-        capacity = (capacity - granted).max(0.0);
-        left -= 1;
+    for class in order.chunk_by(|&a, &b| demands[a] == demands[b]) {
+        let rate = fill.grant(demands[class[0]], class.len());
+        for &i in class {
+            rates[i] = rate;
+        }
     }
     rates
+}
+
+/// The water-filling rule shared by [`max_min_rates`] and the link:
+/// classes of equal demand are granted in ascending demand order.
+struct WaterFill {
+    capacity: f64,
+    left: usize,
+}
+
+impl WaterFill {
+    fn new(capacity_bps: f64, transfers: usize) -> Self {
+        WaterFill { capacity: capacity_bps, left: transfers }
+    }
+
+    /// Grants the next `count` transfers, each demanding `demand_bps`,
+    /// and returns the rate each of them gets.
+    fn grant(&mut self, demand_bps: f64, count: usize) -> f64 {
+        if self.capacity.is_infinite() {
+            return demand_bps;
+        }
+        let rate = demand_bps.min(self.capacity / self.left as f64);
+        self.capacity = (self.capacity - rate * count as f64).max(0.0);
+        self.left -= count;
+        rate
+    }
 }
 
 /// One transfer that finished crossing the link.
@@ -89,17 +137,88 @@ pub struct LinkDelivery {
     pub at: SimTime,
 }
 
-#[derive(Debug, Clone)]
-struct Transfer {
+/// A transfer in flight: its virtual finish in its class's clock.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    finish_v: f64,
     tag: u64,
-    /// Bytes still to move, settled up to `FairShareLink::now`.
-    remaining: f64,
-    /// The most the receiver can absorb, bytes/s.
+}
+
+impl Ord for Member {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.finish_v.total_cmp(&other.finish_v).then(self.tag.cmp(&other.tag))
+    }
+}
+
+impl PartialOrd for Member {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Member {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Member {}
+
+/// All active transfers sharing one demand, hence one max-min rate.
+#[derive(Debug, Clone)]
+struct DemandClass {
     demand_bps: f64,
-    /// Currently granted rate, bytes/s.
+    /// Rate granted to each member, bytes/s.
     rate_bps: f64,
-    /// Planned completion instant under the current rate.
-    finish: SimTime,
+    /// Bytes served per member since the class formed: `v + v_err`,
+    /// accumulated with Neumaier's compensated summation.
+    v: f64,
+    v_err: f64,
+    /// Members by ascending virtual finish (ties by tag).
+    members: BinaryHeap<Reverse<Member>>,
+    /// Planned completion of the head member under the current rate.
+    next_finish: SimTime,
+}
+
+impl DemandClass {
+    fn new(demand_bps: f64) -> Self {
+        DemandClass {
+            demand_bps,
+            rate_bps: 0.0,
+            v: 0.0,
+            v_err: 0.0,
+            members: BinaryHeap::new(),
+            next_finish: SimTime::MAX,
+        }
+    }
+
+    fn join(&mut self, bytes: u64, tag: u64) {
+        // A zero-byte transfer is done on arrival, whatever the rounding
+        // of the compensated clock.
+        let finish_v =
+            if bytes == 0 { f64::NEG_INFINITY } else { self.v + (self.v_err + bytes as f64) };
+        self.members.push(Reverse(Member { finish_v, tag }));
+    }
+
+    /// Serves every member `rate · dt_secs` more bytes.
+    fn advance(&mut self, dt_secs: f64) {
+        let x = self.rate_bps * dt_secs;
+        let sum = self.v + x;
+        self.v_err += if self.v.abs() >= x.abs() { (self.v - sum) + x } else { (x - sum) + self.v };
+        self.v = sum;
+    }
+
+    /// Completion instant, planned at the settled instant `now`, of a
+    /// member whose virtual finish is `finish_v`. Ceiled to whole
+    /// nanoseconds so the plan never undershoots.
+    fn finish_at(&self, now: SimTime, finish_v: f64) -> SimTime {
+        let remaining = (finish_v - self.v) - self.v_err;
+        if remaining <= 0.0 || self.rate_bps.is_infinite() {
+            return now;
+        }
+        let ns = (remaining / self.rate_bps * 1e9).ceil();
+        SimTime::from_nanos(now.as_nanos().saturating_add(ns as u64))
+    }
 }
 
 /// A shared-bandwidth link dividing its capacity max-min fairly among
@@ -107,8 +226,14 @@ struct Transfer {
 #[derive(Debug, Clone)]
 pub struct FairShareLink {
     capacity_bps: f64,
+    /// The latest instant the link was advanced or settled to.
     now: SimTime,
-    active: Vec<Transfer>,
+    /// The instant the class clocks are settled to: the last start or
+    /// completion.
+    settled: SimTime,
+    /// Classes with at least one member, by ascending demand.
+    classes: Vec<DemandClass>,
+    active: usize,
     deliveries: Vec<LinkDelivery>,
 }
 
@@ -128,7 +253,9 @@ impl FairShareLink {
         Ok(FairShareLink {
             capacity_bps,
             now: SimTime::ZERO,
-            active: Vec::new(),
+            settled: SimTime::ZERO,
+            classes: Vec::new(),
+            active: 0,
             deliveries: Vec::new(),
         })
     }
@@ -144,25 +271,27 @@ impl FairShareLink {
         self.capacity_bps
     }
 
-    /// The instant the link's bookkeeping is settled to.
+    /// The latest instant the link has been advanced or settled to;
+    /// transfer starts must not precede it.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of transfers currently in flight.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.active
     }
 
     /// `true` when nothing is in flight.
     pub fn is_idle(&self) -> bool {
-        self.active.is_empty()
+        self.active == 0
     }
 
     /// Begins moving `bytes` for `tag` at instant `at`, demanding at most
     /// `demand_bps` (the receiver's own bottleneck; `f64::INFINITY` for
-    /// "as fast as the link allows"). Rates of every active transfer are
-    /// recomputed immediately. A zero-byte transfer completes at `at`.
+    /// "as fast as the link allows"). The capacity is re-divided among
+    /// the active transfers immediately. A zero-byte transfer completes
+    /// at `at`.
     ///
     /// # Panics
     ///
@@ -171,18 +300,20 @@ impl FairShareLink {
     pub fn start_transfer(&mut self, at: SimTime, bytes: u64, demand_bps: f64, tag: u64) {
         assert!(at >= self.now, "transfer starts must not precede the link clock");
         assert!(!demand_bps.is_nan() && demand_bps > 0.0, "transfer demand must be positive");
-        // Deliver anything that finishes strictly before the new arrival,
-        // then settle the survivors' byte counts to `at`.
+        // Deliver anything that finishes no later than the new arrival,
+        // then settle the survivors' clocks to `at`.
         self.run_completions(at);
         self.settle_to(at);
-        self.active.push(Transfer {
-            tag,
-            remaining: bytes as f64,
-            demand_bps,
-            rate_bps: 0.0,
-            finish: SimTime::MAX,
-        });
-        self.recompute_rates();
+        let i = match self.classes.binary_search_by(|c| c.demand_bps.total_cmp(&demand_bps)) {
+            Ok(i) => i,
+            Err(i) => {
+                self.classes.insert(i, DemandClass::new(demand_bps));
+                i
+            }
+        };
+        self.classes[i].join(bytes, tag);
+        self.active += 1;
+        self.reallocate();
     }
 
     /// Drains the accumulated [`LinkDelivery`] records, in delivery order
@@ -191,63 +322,55 @@ impl FairShareLink {
         std::mem::take(&mut self.deliveries)
     }
 
-    /// Moves bytes for the interval `[self.now, to]` at current rates.
+    /// Serves every class at its current rate over `[self.settled, to]`.
     fn settle_to(&mut self, to: SimTime) {
-        if to <= self.now {
+        if to <= self.settled {
             return;
         }
-        let dt = to.duration_since(self.now).as_secs_f64();
-        for t in &mut self.active {
-            if t.rate_bps.is_infinite() {
-                t.remaining = 0.0;
-            } else {
-                t.remaining = (t.remaining - t.rate_bps * dt).max(0.0);
-            }
+        let dt = to.duration_since(self.settled).as_secs_f64();
+        for c in &mut self.classes {
+            c.advance(dt);
         }
-        self.now = to;
+        self.settled = to;
+        self.now = self.now.max(to);
     }
 
-    /// Reassigns every active transfer its max-min fair rate and replans
-    /// its completion instant from the settled clock.
-    fn recompute_rates(&mut self) {
-        if self.active.is_empty() {
-            return;
-        }
-        let demands: Vec<f64> = self.active.iter().map(|t| t.demand_bps).collect();
-        let rates = max_min_rates(self.capacity_bps, &demands);
-        for (t, rate) in self.active.iter_mut().zip(rates) {
-            t.rate_bps = rate;
-            t.finish = if t.remaining <= 0.0 || rate.is_infinite() {
-                self.now
-            } else {
-                // Ceil to whole nanoseconds so the plan never undershoots;
-                // completion forces the residue to zero.
-                let ns = (t.remaining / rate * 1e9).ceil();
-                SimTime::from_nanos(self.now.as_nanos().saturating_add(ns as u64))
+    /// Water-fills the capacity over the classes and replans each class
+    /// head's completion from the settled clock.
+    fn reallocate(&mut self) {
+        let mut fill = WaterFill::new(self.capacity_bps, self.active);
+        for c in &mut self.classes {
+            c.rate_bps = fill.grant(c.demand_bps, c.members.len());
+            c.next_finish = match c.members.peek() {
+                Some(Reverse(head)) => c.finish_at(self.settled, head.finish_v),
+                None => SimTime::MAX,
             };
         }
     }
 
     /// Delivers every planned completion at instants `<= limit`, in time
-    /// order, recomputing rates after each completion batch.
+    /// order (tag order within an instant), reallocating after each
+    /// completion batch.
     fn run_completions(&mut self, limit: SimTime) {
-        loop {
-            let Some(next) = self.active.iter().map(|t| t.finish).min() else {
-                return;
-            };
-            if next > limit {
-                return;
+        let first = self.deliveries.len();
+        while let Some(next) = self.peek_next_time().filter(|&t| t <= limit) {
+            // Every member planned to finish by `next` under the rates
+            // granted at the settled instant leaves now.
+            for c in &mut self.classes {
+                while let Some(&Reverse(m)) = c.members.peek() {
+                    if c.finish_at(self.settled, m.finish_v) > next {
+                        break;
+                    }
+                    c.members.pop();
+                    self.active -= 1;
+                    self.deliveries.push(LinkDelivery { tag: m.tag, at: next });
+                }
             }
+            self.classes.retain(|c| !c.members.is_empty());
             self.settle_to(next);
-            let mut done: Vec<u64> =
-                self.active.iter().filter(|t| t.finish == next).map(|t| t.tag).collect();
-            done.sort_unstable();
-            self.active.retain(|t| t.finish != next);
-            for tag in done {
-                self.deliveries.push(LinkDelivery { tag, at: next });
-            }
-            self.recompute_rates();
+            self.reallocate();
         }
+        self.deliveries[first..].sort_unstable_by_key(|d| (d.at, d.tag));
     }
 }
 
@@ -255,12 +378,12 @@ impl SimComponent for FairShareLink {
     fn init(&mut self) {}
 
     fn peek_next_time(&self) -> Option<SimTime> {
-        self.active.iter().map(|t| t.finish).min()
+        self.classes.iter().map(|c| c.next_finish).min()
     }
 
     fn advance_to(&mut self, limit: SimTime) {
         self.run_completions(limit);
-        self.settle_to(limit.max(self.now));
+        self.now = self.now.max(limit);
     }
 }
 
